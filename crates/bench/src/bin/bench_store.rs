@@ -32,6 +32,8 @@
 //!
 //! * **sketch** — pure sketching throughput, no persistence;
 //! * **ingest** — fresh-catalog ingest (sketch + segment write + manifest);
+//! * **reingest** — re-ingest of the unchanged corpus, which skips every
+//!   table on its content hash (`reingest_noop_ms`);
 //! * **index** — cold ANN index build over the ingested corpus;
 //! * **query** — serial single-query latency (p50/p95 µs);
 //! * **batch** — `search_batch` fan-out throughput vs. the serial loop;
@@ -59,7 +61,7 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 use tsfm_lake::{gen_pretrain_corpus, World, WorldConfig};
 use tsfm_sketch::{SketchConfig, TableSketch};
-use tsfm_store::{wire, Catalog, DiscoveryRequest, QueryMode, SnapshotMode};
+use tsfm_store::{wire, Catalog, DiscoveryRequest, QueryMode};
 use tsfm_table::hash::hash_str;
 use tsfm_table::Table;
 
@@ -176,15 +178,16 @@ fn rss_mb() -> f64 {
 /// same outcome (a table served from a cold store). The ANN-graph load
 /// is deliberately *not* in this window — it is mode-independent and
 /// already tracked by `index_build_ms`.
-fn measure_open(dir: &str, mode: SnapshotMode, probe_id: &str) -> Result<(), String> {
+fn measure_open(dir: &str, mode: &str, probe_id: &str) -> Result<(), String> {
     let t0 = Instant::now();
     let cat = Catalog::open(dir).map_err(|e| e.to_string())?;
     let rec = match mode {
-        SnapshotMode::Eager => {
+        "lazy" => cat.get(probe_id).map_err(|e| e.to_string())?,
+        "eager" => {
             let records = cat.load_all_records().map_err(|e| e.to_string())?;
             records.into_iter().find(|r| r.table_id() == probe_id)
         }
-        _ => cat.get(probe_id).map_err(|e| e.to_string())?,
+        other => return Err(format!("unknown open mode {other:?}")),
     };
     if rec.is_none() {
         return Err(format!("probe table {probe_id:?} missing from {dir}"));
@@ -311,11 +314,6 @@ fn main() -> Result<(), String> {
         let [_, mode, dir, probe] = &argv[..] else {
             return Err("--measure-open needs <lazy|eager> <dir> <probe-id>".into());
         };
-        let mode = match mode.as_str() {
-            "lazy" => SnapshotMode::Lazy,
-            "eager" => SnapshotMode::Eager,
-            other => return Err(format!("unknown snapshot mode {other:?}")),
-        };
         return measure_open(dir, mode, probe);
     }
 
@@ -326,6 +324,7 @@ fn main() -> Result<(), String> {
 
     let mut m_sketch = Vec::new();
     let mut m_ingest = Vec::new();
+    let mut m_reingest = Vec::new();
     let mut m_index = Vec::new();
     let mut m_p50 = Vec::new();
     let mut m_p95 = Vec::new();
@@ -369,6 +368,16 @@ fn main() -> Result<(), String> {
                 "bench_store[{run}]: ingest  {ingest_rate:>9.0} tables/s over {} thread(s)",
                 args.threads
             );
+
+            // Incremental re-ingest of the unchanged corpus: every table
+            // is skipped on its content hash, nothing is sketched.
+            let t0 = Instant::now();
+            let again =
+                cat.ingest_tables(&tables, &hashes, args.threads).map_err(|e| e.to_string())?;
+            let reingest_ms = t0.elapsed().as_secs_f64() * 1e3;
+            m_reingest.push(reingest_ms);
+            assert_eq!(again.unchanged, n, "an unchanged corpus re-ingests as a no-op");
+            eprintln!("bench_store[{run}]: reingest {reingest_ms:>8.1} ms (no-op)");
 
             // Cold ANN index build (the first searcher() call).
             let t0 = Instant::now();
@@ -507,13 +516,15 @@ fn main() -> Result<(), String> {
         let trace_on = median(&mut m_trace_on);
         format!(
             "\"sketch_tables_per_s\":{:.1},\"ingest_tables_per_s\":{:.1},\
-             \"index_build_ms\":{:.1},\"query_p50_us\":{:.1},\"query_p95_us\":{:.1},\
+             \"reingest_noop_ms\":{:.2},\"index_build_ms\":{:.1},\
+             \"query_p50_us\":{:.1},\"query_p95_us\":{:.1},\
              \"serial_batch_queries_per_s\":{:.1},\"batch_queries_per_s\":{:.1},\
              \"tracing\":{{\"off_queries_per_s\":{trace_off:.1},\
              \"on_queries_per_s\":{trace_on:.1},\
              \"on_overhead_pct\":{:.2}}},",
             median(&mut m_sketch),
             median(&mut m_ingest),
+            median(&mut m_reingest),
             median(&mut m_index),
             median(&mut m_p50),
             median(&mut m_p95),

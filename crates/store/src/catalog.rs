@@ -50,10 +50,15 @@
 //! [`Searcher`] — an immutable `Arc`-shared snapshot of the query engine
 //! that is `Send + Sync` — so queries never hold `&mut Catalog`. Every
 //! mutation bumps the catalog [`Catalog::epoch`] and drops the cached
-//! snapshot; the next `searcher()` call rebuilds it (loading the on-disk
-//! HNSW cache when the manifest fingerprint matches, so a cold reopen of
-//! an unchanged catalog skips graph construction entirely). Snapshots
-//! already handed out keep serving their generation.
+//! snapshot; the next `searcher()` call rebuilds it. There is one
+//! snapshot path: when the on-disk index cache matches the contents
+//! fingerprint, the engine is assembled from the cached HNSW graphs and
+//! engine meta without reading any shard-resident sketch, so a cold
+//! reopen of an unchanged catalog skips graph construction entirely;
+//! otherwise every record is loaded, the engine is built, and the cache
+//! is rewritten. Every snapshot holds loose sketches in memory and reads
+//! shard-resident ones on demand. Snapshots already handed out keep
+//! serving their generation.
 //!
 //! Incremental ingest: every record stores the stable hash of its source
 //! bytes. [`Catalog::ingest_dir`] hashes each CSV *before* parsing and
@@ -212,30 +217,6 @@ pub struct CatalogStats {
     pub shards: usize,
 }
 
-/// Below this many tables, [`SnapshotMode::Auto`] stays eager even over
-/// a sharded catalog: the one-time cost of paging every sketch in is
-/// tens-to-hundreds of milliseconds and repays itself immediately in
-/// query latency (a lazy snapshot's LRU thrashes when the hot candidate
-/// set exceeds its capacity). Past it, corpus size dominates and the
-/// lazy path's bounded RSS and O(shards) snapshot build win.
-pub(crate) const AUTO_LAZY_MIN_TABLES: usize = 65_536;
-
-/// How [`Catalog::searcher`] materializes the corpus behind a snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SnapshotMode {
-    /// Lazy when a shard layer exists *and* the corpus is too large to
-    /// hold eagerly ([`AUTO_LAZY_MIN_TABLES`]); eager otherwise.
-    #[default]
-    Auto,
-    /// Hold every sketch in memory (the historical behavior; right for
-    /// small catalogs where RSS is cheap and `sketch_of` is hot).
-    Eager,
-    /// Keep shard-resident sketches on disk; `sketch_of` loads them by
-    /// positioned arena read through an LRU cache. Bounds snapshot RSS
-    /// by churn + cache size instead of corpus size.
-    Lazy,
-}
-
 /// One shard as the catalog tracks it: root-manifest metadata plus
 /// lazily-loaded (once per catalog instance) manifest and arena. The
 /// `OnceLock`s keep `Catalog::open` O(shards): nothing under `shards/`
@@ -256,7 +237,6 @@ impl ShardSlot {
 pub struct Catalog {
     dir: PathBuf,
     sketch_cfg: SketchConfig,
-    hnsw_cfg: HnswConfig,
     /// Loose tables: the root manifest's own id → segment map.
     entries: BTreeMap<String, ManifestEntry>,
     /// The shard layer, indexed by shard number; the vector length is the
@@ -266,7 +246,6 @@ pub struct Catalog {
     /// Shard-resident ids that are removed, or shadowed by a loose
     /// update, since the last compaction.
     tombstones: BTreeSet<String>,
-    snapshot_mode: SnapshotMode,
     /// Cached read snapshot for the current epoch; dropped on mutation.
     snapshot: Option<Searcher>,
     /// Bumped by every mutation; snapshots carry the epoch they captured.
@@ -333,62 +312,66 @@ impl Catalog {
         obs().histogram("tsfm_store_arena_read_us", "Positioned arena payload read latency");
         let dir = dir.into();
         let manifest = dir.join(MANIFEST_FILE);
-        if manifest.exists() {
-            let (sketch_cfg, entries, metas, mut tombstones) = read_manifest(&manifest)?;
-            if sketch_cfg.minhash_k != cfg.minhash_k
-                || sketch_cfg.max_rows != cfg.max_rows
-                || sketch_cfg.seed != cfg.seed
-            {
+        let fresh = !manifest.exists();
+        let (sketch_cfg, entries, metas, mut tombstones) = if fresh {
+            fs::create_dir_all(dir.join(SEGMENT_DIR))?;
+            (cfg, BTreeMap::new(), Vec::new(), BTreeSet::new())
+        } else {
+            let stored = read_manifest(&manifest)?;
+            let c = &stored.0;
+            if c.minhash_k != cfg.minhash_k || c.max_rows != cfg.max_rows || c.seed != cfg.seed {
                 return Err(StoreError::invalid(format!(
                     "catalog was created with (k={}, max_rows={}, seed={:#x}); \
                      refusing to open with a different sketch config",
-                    sketch_cfg.minhash_k, sketch_cfg.max_rows, sketch_cfg.seed
+                    c.minhash_k, c.max_rows, c.seed
                 )));
             }
-            let space = metas.len() as u32;
-            // A tombstone pointing into a quarantined (missing) shard
-            // marks nothing; keeping it would undercount `len`.
-            if space > 0 {
-                let present: Vec<bool> = metas.iter().map(Option::is_some).collect();
-                tombstones.retain(|id| present[shard::shard_of(id, space) as usize]);
-            }
-            return Ok(Self {
-                dir,
-                sketch_cfg,
-                hnsw_cfg: HnswConfig::default(),
-                entries,
-                shards: metas.into_iter().map(|m| m.map(ShardSlot::new)).collect(),
-                tombstones,
-                snapshot_mode: SnapshotMode::default(),
-                snapshot: None,
-                epoch: 0,
-                manifest_dirty: false,
-                seg_buf: Vec::new(),
-                pending_sync: Vec::new(),
-                sync_pool: None,
-                pool_used: false,
-                pending_delete: Vec::new(),
+            stored
+        };
+        let space = metas.len() as u32;
+        // A tombstone pointing into a quarantined (missing) shard marks
+        // nothing; keeping it would undercount `len`. More tombstones
+        // than a shard holds entries would underflow it.
+        let mut marked = vec![0u64; metas.len()];
+        if space > 0 {
+            tombstones.retain(|id| {
+                let s = shard::shard_of(id, space) as usize;
+                marked[s] += 1;
+                metas[s].is_some()
             });
         }
-        fs::create_dir_all(dir.join(SEGMENT_DIR))?;
+        for (m, &n) in metas.iter().zip(&marked) {
+            if let Some(m) = m.as_ref().filter(|m| n > m.entry_count) {
+                return Err(durable::note_corruption(
+                    StoreError::corrupt(
+                        "TSFMCAT1",
+                        format!(
+                            "{n} tombstones point into shard {} of {} entries",
+                            m.index, m.entry_count
+                        ),
+                    )
+                    .with_file(&manifest, 0),
+                ));
+            }
+        }
         let cat = Self {
             dir,
-            sketch_cfg: cfg,
-            hnsw_cfg: HnswConfig::default(),
-            entries: BTreeMap::new(),
-            shards: Vec::new(),
-            tombstones: BTreeSet::new(),
-            snapshot_mode: SnapshotMode::default(),
+            sketch_cfg,
+            entries,
+            shards: metas.into_iter().map(|m| m.map(ShardSlot::new)).collect(),
+            tombstones,
             snapshot: None,
             epoch: 0,
-            manifest_dirty: true,
+            manifest_dirty: fresh,
             seg_buf: Vec::new(),
             pending_sync: Vec::new(),
             sync_pool: None,
             pool_used: false,
             pending_delete: Vec::new(),
         };
-        cat.write_manifest()?;
+        if fresh {
+            cat.write_manifest()?;
+        }
         Ok(cat)
     }
 
@@ -568,22 +551,38 @@ impl Catalog {
         let Some((slot, m, i)) = self.shard_locate(id)? else {
             return Ok(None);
         };
+        self.read_shard_record(slot, &m.entries[i], i).map(Some)
+    }
+
+    /// Whether a shard-resident copy of `id` is the active one: neither
+    /// tombstoned nor shadowed by a loose copy.
+    fn shard_copy_active(&self, id: &str) -> bool {
+        !self.tombstones.contains(id) && !self.entries.contains_key(id)
+    }
+
+    /// Positioned read of arena slot `i` of `slot`, checked against its
+    /// shard-manifest entry `e`.
+    fn read_shard_record(
+        &self,
+        slot: &ShardSlot,
+        e: &ShardEntry,
+        i: usize,
+    ) -> StoreResult<TableRecord> {
         let arena = self.slot_arena(slot)?;
         let rec = arena.read_record(i)?;
-        let e = &m.entries[i];
-        if rec.content_hash != e.content_hash || rec.table_id() != id {
+        if rec.content_hash != e.content_hash || rec.table_id() != e.id {
             return Err(durable::note_corruption(
                 StoreError::corrupt(
                     "TSFMARN1",
                     format!(
-                        "arena slot {i} of shard {} does not match its manifest entry for {id:?}",
-                        slot.meta.index
+                        "arena slot {i} of shard {} does not match its manifest entry for {:?}",
+                        slot.meta.index, e.id
                     ),
                 )
                 .with_file(arena.path(), arena.slots.get(i).map_or(0, |s| s.offset)),
             ));
         }
-        Ok(Some(rec))
+        Ok(rec)
     }
 
     /// Like [`Catalog::get`] but a missing id is a typed
@@ -772,7 +771,7 @@ impl Catalog {
     }
 
     /// Bulk-add in-memory tables, sketching across `threads` workers
-    /// (the `store_bench` ingest path). Results are identical to calling
+    /// (the `bench_store` ingest path). Results are identical to calling
     /// [`Catalog::add_table`] for each table in order. `tables` and
     /// `content_hashes` must be parallel slices.
     pub fn ingest_tables(
@@ -971,7 +970,7 @@ impl Catalog {
             let m = self.slot_manifest(slot)?;
             let arena = self.slot_arena(slot)?;
             for (i, e) in m.entries.iter().enumerate() {
-                if self.tombstones.contains(&e.id) || self.entries.contains_key(&e.id) {
+                if !self.shard_copy_active(&e.id) {
                     continue;
                 }
                 let payload = arena.read_payload(i)?;
@@ -1099,13 +1098,9 @@ impl Catalog {
         // active rows/columns. Stats stay best-effort (infallible): an
         // unreadable shard manifest just leaves its aggregates in.
         for id in &self.tombstones {
-            if let Some(slot) = self.shard_slot(id) {
-                if let Ok(m) = self.slot_manifest(slot) {
-                    if let Some(i) = m.find(id) {
-                        rows = rows.saturating_sub(m.entries[i].num_rows);
-                        columns = columns.saturating_sub(u64::from(m.entries[i].num_cols));
-                    }
-                }
+            if let Ok(Some((_, m, i))) = self.shard_locate(id) {
+                rows = rows.saturating_sub(m.entries[i].num_rows);
+                columns = columns.saturating_sub(u64::from(m.entries[i].num_cols));
             }
         }
         CatalogStats {
@@ -1121,173 +1116,110 @@ impl Catalog {
 
     /// An immutable, `Send + Sync` read snapshot of the current contents:
     /// the query path. The first call after any mutation (or a cold open)
-    /// builds the indexes — loading the on-disk cache when its fingerprint
-    /// matches — and the result is cached until the next mutation, so
+    /// builds it, and the result is cached until the next mutation, so
     /// repeated calls are two `Arc` clones.
+    ///
+    /// There is one build path. When the on-disk index cache matches the
+    /// contents fingerprint and carries engine meta, the engine is
+    /// assembled from the cache alone and only the loose tier is read —
+    /// O(loose + shards) work, not O(tables). Anything else (no cache, a
+    /// stale or corrupt one, or one written before the meta section
+    /// existed) loads every record, builds the engine and rewrites the
+    /// cache. Either way the snapshot holds loose sketches in memory and
+    /// reads shard-resident ones on demand through an LRU cache.
     pub fn searcher(&mut self) -> StoreResult<Searcher> {
-        if self.snapshot.is_none() {
-            let t0 = std::time::Instant::now();
-            let _g = tsfm_obs::span!("catalog.snapshot");
-            let lazy = match self.snapshot_mode {
-                SnapshotMode::Eager => false,
-                SnapshotMode::Lazy => true,
-                SnapshotMode::Auto => {
-                    !self.shards.is_empty() && self.len() >= AUTO_LAZY_MIN_TABLES
-                }
-            };
-            let fp = self.fingerprint()?;
-            // Cache load failures are swallowed (a rebuild answers the
-            // query), but read_index_cache has already counted a corrupt
-            // cache in tsfm_store_corruptions_detected_total.
-            let cached = {
-                let _g = tsfm_obs::span!("catalog.index_cache.load");
-                read_index_cache(&self.dir.join(INDEX_FILE))
-                    .ok()
-                    .filter(|&(cached_fp, ..)| cached_fp == fp)
-            };
-            // `load_all_records` (and `load_loose_records`) walk manifest
-            // BTreeMaps, so records arrive in ascending-id order — exactly
-            // the engine's canonical order — letting the sketches double
-            // as the searcher's id-addressable corpus.
-            let (engine, records) = match cached {
-                // Record-free fast path: a lazy snapshot whose cache
-                // carries the engine-meta section reconstructs the engine
-                // without reading a single sharded sketch payload, so
-                // open-to-queryable work is O(loose + shards), not
-                // O(tables).
-                Some((_, join, union, Some(meta))) if lazy => {
-                    match QueryEngine::from_meta(meta, self.sketch_cfg.minhash_k, join, union) {
-                        Ok(e) => {
-                            Self::count_cache_hit();
-                            (e, self.load_loose_records()?)
-                        }
-                        Err(_) => {
-                            let records = self.load_all_records()?;
-                            let e = self.rebuild_engine(&records, fp);
-                            (e, records)
-                        }
-                    }
-                }
-                // Eager snapshot, or a pre-meta cache: the graphs are
-                // still reusable, validated against the loaded records.
-                Some((_, join, union, meta)) => {
-                    let records = self.load_all_records()?;
-                    match QueryEngine::with_graphs(
-                        &records,
-                        self.sketch_cfg.minhash_k,
-                        join,
-                        union,
-                    ) {
-                        Ok(e) => {
-                            Self::count_cache_hit();
-                            if lazy && meta.is_none() {
-                                // Upgrade a pre-meta cache in place so the
-                                // next lazy open takes the record-free
-                                // path (same fingerprint — still valid).
-                                let _ = self.write_index_cache(&records, &e, fp);
-                            }
-                            (e, records)
-                        }
-                        Err(_) => {
-                            let e = self.rebuild_engine(&records, fp);
-                            (e, records)
-                        }
-                    }
-                }
-                None => {
-                    let records = self.load_all_records()?;
-                    let e = self.rebuild_engine(&records, fp);
-                    (e, records)
-                }
-            };
-            obs()
-                .histogram("tsfm_catalog_snapshot_build_us", "Snapshot (re)build latency")
-                .record(t0.elapsed().as_micros() as u64);
-            self.snapshot = Some(if lazy {
-                // Keep only loose sketches in memory (they have no arena
-                // home); shard-resident ones are dropped here and
-                // re-loaded on demand by positioned arena read.
-                let loose: Vec<Arc<TableSketch>> = records
+        if let Some(snap) = &self.snapshot {
+            return Ok(snap.clone());
+        }
+        let t0 = std::time::Instant::now();
+        let _g = tsfm_obs::span!("catalog.snapshot");
+        let fp = self.fingerprint()?;
+        let k = self.sketch_cfg.minhash_k;
+        // Cache load failures are swallowed (a rebuild answers the
+        // query), but read_index_cache has already counted a corrupt
+        // cache in tsfm_store_corruptions_detected_total.
+        let cached = {
+            let _g = tsfm_obs::span!("catalog.index_cache.load");
+            read_index_cache(&self.dir.join(INDEX_FILE))
+                .ok()
+                .filter(|&(cached_fp, ..)| cached_fp == fp)
+        };
+        let cached = cached
+            .and_then(|(_, join, union, meta)| QueryEngine::from_meta(meta?, k, join, union).ok());
+        let (engine, loose) = match cached {
+            Some(engine) => {
+                obs()
+                    .counter(
+                        "tsfm_catalog_index_cache_hits_total",
+                        "Snapshots served from the on-disk HNSW cache",
+                    )
+                    .inc();
+                (engine, self.load_loose_records()?)
+            }
+            None => {
+                obs()
+                    .counter(
+                        "tsfm_catalog_index_rebuilds_total",
+                        "Snapshots that rebuilt the HNSW graphs from records",
+                    )
+                    .inc();
+                let records = self.load_all_records()?;
+                let engine = QueryEngine::build(&records, k, HnswConfig::default())?;
+                // The cache is an optimization: a read-only filesystem
+                // must not make an in-memory engine unqueryable.
+                let _ = self.write_index_cache(&records, &engine, fp);
+                let loose = records
                     .into_iter()
                     .filter(|r| self.entries.contains_key(r.table_id()))
-                    .map(|r| Arc::new(r.sketch))
                     .collect();
-                let mut lazy_shards = Vec::with_capacity(self.shards.len());
-                for slot in &self.shards {
-                    lazy_shards.push(match slot {
-                        Some(s) => {
-                            let m = self.slot_manifest(s)?;
-                            let arena = self.slot_arena(s)?;
-                            let entries: Vec<(String, u32)> = m
-                                .entries
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, e)| {
-                                    !self.tombstones.contains(&e.id)
-                                        && !self.entries.contains_key(&e.id)
-                                })
-                                .map(|(i, e)| (e.id.clone(), i as u32))
-                                .collect();
-                            Some(shard::LazyShard { arena, entries })
-                        }
-                        None => None,
-                    });
+                (engine, loose)
+            }
+        };
+        let corpus = self.corpus(loose)?;
+        obs()
+            .histogram("tsfm_catalog_snapshot_build_us", "Snapshot (re)build latency")
+            .record(t0.elapsed().as_micros() as u64);
+        let snap = Searcher::new(
+            Arc::new(engine),
+            Arc::new(corpus),
+            self.sketch_cfg.clone(),
+            self.epoch,
+        );
+        self.snapshot = Some(snap.clone());
+        Ok(snap)
+    }
+
+    /// The snapshot corpus: `loose` (ascending id order — they have no
+    /// arena home) in memory, plus each present shard's open arena and
+    /// its active `(id, slot)` pairs for on-demand positioned reads.
+    fn corpus(&self, loose: Vec<TableRecord>) -> StoreResult<shard::LazyCorpus> {
+        let mut shards = Vec::with_capacity(self.shards.len());
+        for slot in &self.shards {
+            shards.push(match slot {
+                Some(s) => {
+                    let m = self.slot_manifest(s)?;
+                    let entries: Vec<(String, u32)> = m
+                        .entries
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, e)| self.shard_copy_active(&e.id))
+                        .map(|(i, e)| (e.id.clone(), i as u32))
+                        .collect();
+                    Some(shard::LazyShard { arena: self.slot_arena(s)?, entries })
                 }
-                let corpus = shard::LazyCorpus::new(
-                    self.shards.len() as u32,
-                    lazy_shards,
-                    loose,
-                    shard::SKETCH_CACHE_CAP,
-                );
-                Searcher::lazy(
-                    Arc::new(engine),
-                    Arc::new(corpus),
-                    self.sketch_cfg.clone(),
-                    self.epoch,
-                )
-            } else {
-                let sketches: Vec<Arc<TableSketch>> =
-                    records.into_iter().map(|r| Arc::new(r.sketch)).collect();
-                Searcher::eager(
-                    Arc::new(engine),
-                    Arc::new(sketches),
-                    self.sketch_cfg.clone(),
-                    self.epoch,
-                )
+                None => None,
             });
         }
-        self.snapshot
-            .as_ref()
-            .cloned()
-            .ok_or_else(|| StoreError::internal("snapshot missing right after build"))
-    }
-
-    /// Choose how future snapshots materialize the corpus (see
-    /// [`SnapshotMode`]). Drops the cached snapshot — contents are
-    /// unchanged, so the epoch does not move — and the next
-    /// [`Catalog::searcher`] call rebuilds in the new mode. Snapshots
-    /// already handed out are unaffected.
-    pub fn set_snapshot_mode(&mut self, mode: SnapshotMode) {
-        if self.snapshot_mode != mode {
-            self.snapshot_mode = mode;
-            self.snapshot = None;
-        }
-    }
-
-    /// The query engine over the current contents, building (or loading
-    /// from the index cache) on first use after a mutation. Prefer
-    /// [`Catalog::searcher`], which hands out an owned shareable snapshot.
-    pub fn engine(&mut self) -> StoreResult<&QueryEngine> {
-        self.searcher()?;
-        self.snapshot
-            .as_ref()
-            .map(Searcher::engine)
-            .ok_or_else(|| StoreError::internal("snapshot missing right after build"))
+        Ok(shard::LazyCorpus::new(
+            shards,
+            loose.into_iter().map(|r| Arc::new(r.sketch)).collect(),
+            shard::SKETCH_CACHE_CAP,
+        ))
     }
 
     /// Load only the loose tier's records (ascending id order) — the part
-    /// of the corpus with no arena home. The lazy-open fast path builds
-    /// its in-memory corpus from exactly this.
+    /// of the corpus with no arena home, which a snapshot built from the
+    /// index cache holds in memory.
     fn load_loose_records(&self) -> StoreResult<Vec<TableRecord>> {
         let mut out = Vec::with_capacity(self.entries.len());
         for id in self.entries.keys() {
@@ -1308,26 +1240,10 @@ impl Catalog {
         out.reserve(self.len().saturating_sub(out.len()));
         for slot in self.shards.iter().flatten() {
             let m = self.slot_manifest(slot)?;
-            let arena = self.slot_arena(slot)?;
             for (i, e) in m.entries.iter().enumerate() {
-                if self.tombstones.contains(&e.id) || self.entries.contains_key(&e.id) {
-                    continue;
+                if self.shard_copy_active(&e.id) {
+                    out.push(self.read_shard_record(slot, e, i)?);
                 }
-                let rec = arena.read_record(i)?;
-                if rec.content_hash != e.content_hash || rec.table_id() != e.id {
-                    return Err(durable::note_corruption(
-                        StoreError::corrupt(
-                            "TSFMARN1",
-                            format!(
-                                "arena slot {i} of shard {} does not match its manifest \
-                                 entry for {:?}",
-                                slot.meta.index, e.id
-                            ),
-                        )
-                        .with_file(arena.path(), arena.slots.get(i).map_or(0, |s| s.offset)),
-                    ));
-                }
-                out.push(rec);
             }
         }
         out.sort_by(|a, b| a.table_id().cmp(b.table_id()));
@@ -1347,9 +1263,6 @@ impl Catalog {
     /// between tiers without changing contents) leaves it unchanged and
     /// the index cache stays warm across it.
     fn fingerprint(&self) -> StoreResult<u64> {
-        if self.shards.is_empty() {
-            return Ok(manifest_fingerprint(&self.sketch_cfg, &self.entries));
-        }
         let mut pairs: Vec<(&str, u64)> =
             self.entries.iter().map(|(id, e)| (id.as_str(), e.content_hash)).collect();
         let mut shard_manifests = Vec::new();
@@ -1358,7 +1271,7 @@ impl Catalog {
         }
         for m in &shard_manifests {
             for e in &m.entries {
-                if !self.tombstones.contains(&e.id) && !self.entries.contains_key(&e.id) {
+                if self.shard_copy_active(&e.id) {
                     pairs.push((e.id.as_str(), e.content_hash));
                 }
             }
@@ -1372,31 +1285,6 @@ impl Catalog {
             (Some(on_disk), Ok(want)) => on_disk == want,
             _ => false,
         }
-    }
-
-    fn count_cache_hit() {
-        obs()
-            .counter(
-                "tsfm_catalog_index_cache_hits_total",
-                "Snapshots served from the on-disk HNSW cache",
-            )
-            .inc();
-    }
-
-    /// Build the engine from records and refresh the on-disk cache — the
-    /// path taken when no usable cache exists (or one failed validation).
-    fn rebuild_engine(&self, records: &[TableRecord], fp: u64) -> QueryEngine {
-        obs()
-            .counter(
-                "tsfm_catalog_index_rebuilds_total",
-                "Snapshots that rebuilt the HNSW graphs from records",
-            )
-            .inc();
-        let e = QueryEngine::build(records, self.sketch_cfg.minhash_k, self.hnsw_cfg.clone());
-        // The cache is an optimization: a read-only filesystem must not
-        // make an in-memory engine unqueryable.
-        let _ = self.write_index_cache(records, &e, fp);
-        e
     }
 
     fn write_index_cache(
@@ -1429,16 +1317,6 @@ impl Catalog {
     }
 }
 
-/// Fingerprint of a loose-only manifest's contents + sketch config (what
-/// the index cache is keyed on). A free function so `fsck` can compute
-/// the expected fingerprint without a `Catalog`.
-pub(crate) fn manifest_fingerprint(
-    cfg: &SketchConfig,
-    entries: &BTreeMap<String, ManifestEntry>,
-) -> u64 {
-    fingerprint_pairs(cfg, entries.iter().map(|(id, e)| (id.as_str(), e.content_hash)))
-}
-
 /// The fingerprint chain over ascending-id `(id, content_hash)` pairs —
 /// tier-agnostic, so a loose-only catalog and its compacted twin agree.
 pub(crate) fn fingerprint_pairs<'a>(
@@ -1467,7 +1345,7 @@ pub(crate) fn peek_index_fingerprint(path: &Path) -> Option<u64> {
 /// Read and fully verify an index cache file: fingerprint, the join and
 /// union HNSW graphs, and — when present — the trailing engine-meta
 /// section (`None` for caches written before it existed; the catalog
-/// falls back to validating the graphs against loaded records).
+/// treats such a cache as a miss and rewrites it once).
 /// Corruption comes back as a typed [`StoreError::Corrupt`] naming the
 /// file and offset. Public so `fsck` and the corruption tests can drive
 /// verification directly (the catalog itself swallows cache errors and
@@ -1892,6 +1770,38 @@ mod tests {
         );
         fs::write(dir.join(MANIFEST_FILE), b"NOTAMAGIC").unwrap();
         assert!(Catalog::open(&dir).is_err());
+    }
+
+    #[test]
+    fn tombstones_outnumbering_a_shard_are_corrupt_not_a_panic() {
+        let dir = tmp_dir("tombstones");
+        fs::create_dir_all(&dir).unwrap();
+        let meta = ShardMeta {
+            index: 0,
+            generation: 1,
+            entry_count: 1,
+            total_rows: 1,
+            total_cols: 1,
+            arena_bytes: 0,
+        };
+        let write = |ids: &[&str]| {
+            let tombstones: BTreeSet<String> = ids.iter().map(|s| (*s).to_string()).collect();
+            let cfg = SketchConfig::default();
+            let path = dir.join(MANIFEST_FILE);
+            write_manifest_file(&path, &cfg, &BTreeMap::new(), &[Some(meta.clone())], &tombstones)
+                .unwrap();
+        };
+        // A valid CRC over an impossible count: two tombstones against a
+        // one-entry shard would underflow `len`.
+        write(&["a", "b"]);
+        let Err(err) = Catalog::open(&dir) else { panic!("over-tombstoned shard must not open") };
+        assert!(
+            matches!(&err, StoreError::Corrupt { format, .. } if format == "TSFMCAT1"),
+            "{err}"
+        );
+        // At the limit every shard entry is tombstoned and the count is 0.
+        write(&["a"]);
+        assert_eq!(Catalog::open(&dir).unwrap().len(), 0);
     }
 
     #[test]

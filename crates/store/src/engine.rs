@@ -85,7 +85,7 @@ impl std::str::FromStr for QueryMode {
 /// Per-table assembly metadata: exactly what [`QueryEngine::from_meta`]
 /// needs to reconstruct an engine without touching the full
 /// [`TableRecord`]s — the catalog persists this alongside the HNSW graphs
-/// so a lazy open never has to read sharded sketch payloads.
+/// so a snapshot built from the index cache never reads sketch payloads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableMeta {
     pub table_id: String,
@@ -96,19 +96,23 @@ pub struct TableMeta {
     pub column_names: Vec<String>,
 }
 
+impl TableMeta {
+    fn of(sketch: &TableSketch) -> Self {
+        Self {
+            table_id: sketch.table_id.clone(),
+            content_snapshot: sketch.content_snapshot.clone(),
+            column_names: sketch.columns.iter().map(|c| c.name.clone()).collect(),
+        }
+    }
+}
+
 /// Extract [`TableMeta`] for `records` in the engine's canonical
-/// (ascending table-id, last-duplicate-wins) order — the exact per-table
-/// inputs [`QueryEngine::assemble`] reads, so
-/// [`QueryEngine::from_meta`] over this output rebuilds the same engine.
+/// (ascending table-id, last-duplicate-wins) order — exactly what
+/// [`QueryEngine::build`] hands to [`QueryEngine::from_meta`], so
+/// `from_meta` over this output and the build's graphs rebuilds the same
+/// engine.
 pub fn table_metas(records: &[TableRecord]) -> Vec<TableMeta> {
-    canonical_order(records)
-        .into_iter()
-        .map(|ri| TableMeta {
-            table_id: records[ri].sketch.table_id.clone(),
-            content_snapshot: records[ri].sketch.content_snapshot.clone(),
-            column_names: records[ri].sketch.columns.iter().map(|c| c.name.clone()).collect(),
-        })
-        .collect()
+    canonical_order(records).into_iter().map(|ri| TableMeta::of(&records[ri].sketch)).collect()
 }
 
 /// One ranked result table.
@@ -139,10 +143,6 @@ struct Profiler {
 impl Profiler {
     fn new(enabled: bool) -> Self {
         Self { stages: enabled.then(Vec::new) }
-    }
-
-    fn enabled(&self) -> bool {
-        self.stages.is_some()
     }
 
     #[inline]
@@ -213,8 +213,14 @@ fn content_banding(k: usize) -> (usize, usize) {
 impl QueryEngine {
     /// Build all three indexes from records. Input order is irrelevant:
     /// records are processed in ascending table-id order, and duplicate ids
-    /// keep the *last* occurrence.
-    pub fn build(records: &[TableRecord], minhash_k: usize, hnsw_cfg: HnswConfig) -> Self {
+    /// keep the *last* occurrence. The graphs are inserted here and the
+    /// rest of the engine is assembled by [`QueryEngine::from_meta`], so a
+    /// fresh build and a cache load share one validated assembly path.
+    pub fn build(
+        records: &[TableRecord],
+        minhash_k: usize,
+        hnsw_cfg: HnswConfig,
+    ) -> StoreResult<Self> {
         let _g = tsfm_obs::span!("engine.build");
         let order = canonical_order(records);
         let mut join_index = Hnsw::new(minhash_k, Metric::Cosine, hnsw_cfg.clone());
@@ -229,27 +235,14 @@ impl QueryEngine {
                 union_index.add(&buf);
             }
         }
-        Self::assemble(records, &order, minhash_k, join_index, union_index)
+        let meta = order.into_iter().map(|ri| TableMeta::of(&records[ri].sketch)).collect();
+        Self::from_meta(meta, minhash_k, join_index, union_index)
     }
 
-    /// Build from pre-built HNSW graphs (the catalog's index-cache path).
-    /// The graphs must have been produced by [`QueryEngine::build`] over
-    /// the same records; node counts and dimensions are validated.
-    pub fn with_graphs(
-        records: &[TableRecord],
-        minhash_k: usize,
-        join_index: Hnsw,
-        union_index: Hnsw,
-    ) -> StoreResult<Self> {
-        let order = canonical_order(records);
-        let ncols: usize = order.iter().map(|&ri| records[ri].sketch.columns.len()).sum();
-        check_graphs(ncols, minhash_k, &join_index, &union_index)?;
-        Ok(Self::assemble(records, &order, minhash_k, join_index, union_index))
-    }
-
-    /// Build from pre-built HNSW graphs and per-table metadata alone — no
-    /// [`TableRecord`]s (the catalog's lazy-open fast path, fed entirely
-    /// from the index cache). `meta` must be in canonical order (ascending
+    /// Assemble an engine from HNSW graphs and per-table metadata — the
+    /// one assembly routine: [`QueryEngine::build`] ends here, and the
+    /// catalog's index-cache hit calls it directly without reading any
+    /// [`TableRecord`]. `meta` must be in canonical order (ascending
     /// unique table ids, as [`table_metas`] produces); ordering, snapshot
     /// widths, node counts, and dimensions are all validated so a garbled
     /// cache surfaces as a typed [`StoreError::Corrupt`], never a panic.
@@ -297,29 +290,6 @@ impl QueryEngine {
             }
         }
         Ok(Self { minhash_k, ids, col_owner, col_names, join_index, union_index, content_lsh })
-    }
-
-    fn assemble(
-        records: &[TableRecord],
-        order: &[usize],
-        minhash_k: usize,
-        join_index: Hnsw,
-        union_index: Hnsw,
-    ) -> Self {
-        let (bands, rows) = content_banding(minhash_k);
-        let mut content_lsh = MinHashLsh::new(bands, rows);
-        let mut ids = Vec::with_capacity(order.len());
-        let mut col_owner = Vec::new();
-        let mut col_names = Vec::new();
-        for (ti, &ri) in order.iter().enumerate() {
-            content_lsh.add(records[ri].sketch.content_snapshot.clone());
-            ids.push(records[ri].sketch.table_id.clone());
-            for c in &records[ri].sketch.columns {
-                col_owner.push(ti);
-                col_names.push(c.name.clone());
-            }
-        }
-        Self { minhash_k, ids, col_owner, col_names, join_index, union_index, content_lsh }
     }
 
     pub fn len(&self) -> usize {
@@ -486,43 +456,21 @@ impl QueryEngine {
         // allocates nothing per query after warmup.
         let mut buf = Vec::new();
         let k_cols = req.k().saturating_mul(OVER_RETRIEVE).max(1);
-        // The per-column loop is the query hot path: only the profiled
-        // variant pays the stage-timing wrappers, so unprofiled queries
-        // keep the tight original shape.
-        let per_col: Vec<Vec<ColumnHit>> = if prof.enabled() {
-            let mut per_col = Vec::with_capacity(query_cols.len());
-            for c in &query_cols {
-                prof.time("features", || features(c, &mut buf));
-                per_col.push(prof.time("beam", || {
-                    index
-                        .search(&buf, k_cols)
-                        .into_iter()
-                        .map(|(col, d)| ColumnHit {
-                            table: self.col_owner[col],
-                            column: col,
-                            distance: d,
-                        })
-                        .collect()
-                }));
-            }
-            per_col
-        } else {
-            query_cols
-                .iter()
-                .map(|c| {
-                    features(c, &mut buf);
-                    index
-                        .search(&buf, k_cols)
-                        .into_iter()
-                        .map(|(col, d)| ColumnHit {
-                            table: self.col_owner[col],
-                            column: col,
-                            distance: d,
-                        })
-                        .collect()
-                })
-                .collect()
-        };
+        let mut per_col: Vec<Vec<ColumnHit>> = Vec::with_capacity(query_cols.len());
+        for c in &query_cols {
+            prof.time("features", || features(c, &mut buf));
+            per_col.push(prof.time("beam", || {
+                index
+                    .search(&buf, k_cols)
+                    .into_iter()
+                    .map(|(col, d)| ColumnHit {
+                        table: self.col_owner[col],
+                        column: col,
+                        distance: d,
+                    })
+                    .collect()
+            }));
+        }
         let exclude = if req.exclude_self() { self.table_idx(&sketch.table_id) } else { None };
         if !req.explain() {
             let hits = prof.time("rank", || {
@@ -690,7 +638,7 @@ mod tests {
     #[test]
     fn join_finds_overlapping_table_and_excludes_self() {
         let (recs, cfg) = corpus();
-        let engine = QueryEngine::build(&recs, cfg.minhash_k, Default::default());
+        let engine = QueryEngine::build(&recs, cfg.minhash_k, Default::default()).unwrap();
         let hits = engine.search(&recs[0].sketch, &req(QueryMode::Join, 2)).unwrap().hits;
         assert!(!hits.is_empty());
         assert_eq!(hits[0].table_id, "a1", "value-overlapping table ranks first: {hits:?}");
@@ -700,7 +648,7 @@ mod tests {
     #[test]
     fn exclude_self_false_returns_the_query_table_first() {
         let (recs, cfg) = corpus();
-        let engine = QueryEngine::build(&recs, cfg.minhash_k, Default::default());
+        let engine = QueryEngine::build(&recs, cfg.minhash_k, Default::default()).unwrap();
         let r = DiscoveryRequest::builder(QueryMode::Join).k(3).exclude_self(false).build().unwrap();
         let hits = engine.search(&recs[0].sketch, &r).unwrap().hits;
         assert_eq!(hits[0].table_id, "a0", "a table trivially matches itself: {hits:?}");
@@ -709,9 +657,9 @@ mod tests {
     #[test]
     fn build_is_input_order_invariant() {
         let (mut recs, cfg) = corpus();
-        let a = QueryEngine::build(&recs, cfg.minhash_k, Default::default());
+        let a = QueryEngine::build(&recs, cfg.minhash_k, Default::default()).unwrap();
         recs.reverse();
-        let b = QueryEngine::build(&recs, cfg.minhash_k, Default::default());
+        let b = QueryEngine::build(&recs, cfg.minhash_k, Default::default()).unwrap();
         let q = &recs.iter().find(|r| r.table_id() == "a0").unwrap().sketch;
         for mode in QueryMode::ALL {
             assert_eq!(
@@ -722,28 +670,9 @@ mod tests {
     }
 
     #[test]
-    fn with_graphs_matches_fresh_build() {
-        let (recs, cfg) = corpus();
-        let built = QueryEngine::build(&recs, cfg.minhash_k, Default::default());
-        let restored = QueryEngine::with_graphs(
-            &recs,
-            cfg.minhash_k,
-            tsfm_search::Hnsw::from_snapshot(built.join_index().snapshot()).unwrap(),
-            tsfm_search::Hnsw::from_snapshot(built.union_index().snapshot()).unwrap(),
-        )
-        .unwrap();
-        for mode in QueryMode::ALL {
-            assert_eq!(
-                built.search(&recs[0].sketch, &req(mode, 3)).unwrap().hits,
-                restored.search(&recs[0].sketch, &req(mode, 3)).unwrap().hits
-            );
-        }
-    }
-
-    #[test]
     fn from_meta_matches_fresh_build() {
         let (recs, cfg) = corpus();
-        let built = QueryEngine::build(&recs, cfg.minhash_k, Default::default());
+        let built = QueryEngine::build(&recs, cfg.minhash_k, Default::default()).unwrap();
         let restored = QueryEngine::from_meta(
             table_metas(&recs),
             cfg.minhash_k,
@@ -766,7 +695,7 @@ mod tests {
     #[test]
     fn from_meta_rejects_unordered_or_mismatched_meta() {
         let (recs, cfg) = corpus();
-        let built = QueryEngine::build(&recs, cfg.minhash_k, Default::default());
+        let built = QueryEngine::build(&recs, cfg.minhash_k, Default::default()).unwrap();
         let graphs = || {
             (
                 tsfm_search::Hnsw::from_snapshot(built.join_index().snapshot()).unwrap(),
@@ -798,15 +727,10 @@ mod tests {
             panic!("wrong-width snapshot must be rejected")
         };
         assert!(err.to_string().contains("snapshot width"), "{err}");
-    }
-
-    #[test]
-    fn with_graphs_rejects_mismatched_graphs() {
-        let (recs, cfg) = corpus();
-        let built = QueryEngine::build(&recs, cfg.minhash_k, Default::default());
+        // Graphs that do not match the corpus shape (an empty union graph).
+        let (j, _) = graphs();
         let empty = tsfm_search::Hnsw::new(cfg.minhash_k, Metric::Cosine, Default::default());
-        let join = tsfm_search::Hnsw::from_snapshot(built.join_index().snapshot()).unwrap();
-        let Err(err) = QueryEngine::with_graphs(&recs, cfg.minhash_k, join, empty) else {
+        let Err(err) = QueryEngine::from_meta(table_metas(&recs), cfg.minhash_k, j, empty) else {
             panic!("mismatched graphs must be rejected")
         };
         assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
@@ -826,7 +750,7 @@ mod tests {
             .iter()
             .map(|t| TableRecord::from_sketch(TableSketch::build(t, &cfg), 0))
             .collect();
-        let engine = QueryEngine::build(&recs, cfg.minhash_k, Default::default());
+        let engine = QueryEngine::build(&recs, cfg.minhash_k, Default::default()).unwrap();
         let hits = engine.search(&recs[0].sketch, &req(QueryMode::Subset, 2)).unwrap().hits;
         assert_eq!(hits[0].table_id, "half", "{hits:?}");
         assert!(hits[0].score > 0.2);
@@ -841,7 +765,7 @@ mod tests {
     #[test]
     fn mismatched_query_width_is_invalid_request() {
         let (recs, cfg) = corpus();
-        let engine = QueryEngine::build(&recs, cfg.minhash_k, Default::default());
+        let engine = QueryEngine::build(&recs, cfg.minhash_k, Default::default()).unwrap();
         let narrow = SketchConfig { minhash_k: cfg.minhash_k / 2, ..cfg };
         let q = TableSketch::build(&table("q", "c", &["v"]), &narrow);
         let err = engine.search(&q, &req(QueryMode::Join, 1)).unwrap_err();
@@ -852,7 +776,7 @@ mod tests {
     #[test]
     fn empty_corpus_is_empty_index_error() {
         let cfg = SketchConfig::default();
-        let engine = QueryEngine::build(&[], cfg.minhash_k, Default::default());
+        let engine = QueryEngine::build(&[], cfg.minhash_k, Default::default()).unwrap();
         let q = TableSketch::build(&table("q", "c", &["v"]), &cfg);
         let err = engine.search(&q, &req(QueryMode::Join, 1)).unwrap_err();
         assert!(matches!(err, StoreError::EmptyIndex), "{err}");
@@ -861,7 +785,7 @@ mod tests {
     #[test]
     fn unknown_filter_column_is_invalid_request() {
         let (recs, cfg) = corpus();
-        let engine = QueryEngine::build(&recs, cfg.minhash_k, Default::default());
+        let engine = QueryEngine::build(&recs, cfg.minhash_k, Default::default()).unwrap();
         let r = DiscoveryRequest::builder(QueryMode::Join)
             .k(2)
             .columns(["no_such_column"])
@@ -874,7 +798,7 @@ mod tests {
     #[test]
     fn explanations_name_matching_columns() {
         let (recs, cfg) = corpus();
-        let engine = QueryEngine::build(&recs, cfg.minhash_k, Default::default());
+        let engine = QueryEngine::build(&recs, cfg.minhash_k, Default::default()).unwrap();
         let r = DiscoveryRequest::builder(QueryMode::Join).k(2).explain(true).build().unwrap();
         let resp = engine.search(&recs[0].sketch, &r).unwrap();
         let ex = resp.explanations.as_ref().expect("explain requested");
@@ -895,7 +819,7 @@ mod tests {
     #[test]
     fn profile_breakdown_partitions_elapsed() {
         let (recs, cfg) = corpus();
-        let engine = QueryEngine::build(&recs, cfg.minhash_k, Default::default());
+        let engine = QueryEngine::build(&recs, cfg.minhash_k, Default::default()).unwrap();
         for mode in QueryMode::ALL {
             let r = DiscoveryRequest::builder(mode).k(2).profile(true).build().unwrap();
             let resp = engine.search(&recs[0].sketch, &r).unwrap();
@@ -918,7 +842,7 @@ mod tests {
     #[test]
     fn search_batch_matches_serial() {
         let (recs, cfg) = corpus();
-        let engine = QueryEngine::build(&recs, cfg.minhash_k, Default::default());
+        let engine = QueryEngine::build(&recs, cfg.minhash_k, Default::default()).unwrap();
         let sketches: Vec<TableSketch> = recs.iter().map(|r| r.sketch.clone()).collect();
         for mode in QueryMode::ALL {
             let r = req(mode, 3);

@@ -29,10 +29,14 @@
 //! * [`shard`] — the million-table layer: hash-partitioned shard
 //!   manifests (`TSFMSHD1`) plus flat sketch arenas (`TSFMARN1`) read by
 //!   positioned I/O, so opening a compacted catalog is O(shards) and
-//!   lazy snapshots load sketches on demand through an LRU cache;
+//!   snapshots load shard-resident sketches on demand through an LRU
+//!   cache;
 //! * [`Searcher`] — the read path: an immutable `Send + Sync` snapshot
-//!   ([`Arc`](std::sync::Arc)-shared [`QueryEngine`] + corpus sketches)
-//!   taken via [`Catalog::searcher`], queried concurrently without locks;
+//!   ([`Arc`](std::sync::Arc)-shared [`QueryEngine`] + one corpus of
+//!   in-memory loose sketches and on-demand shard reads) taken via
+//!   [`Catalog::searcher`], which has one build path — engine from the
+//!   index cache on a fingerprint match, a full build otherwise — and is
+//!   queried concurrently without locks;
 //! * [`DiscoveryRequest`] / [`DiscoveryResponse`] — the validated
 //!   request builder (mode, k, min_score, exclude_self, column filter,
 //!   explain) and the typed response (ranked [`TableHit`]s, per-query
@@ -71,7 +75,7 @@ pub mod serve;
 pub mod shard;
 pub mod wire;
 
-pub use catalog::{Catalog, CatalogStats, IngestOutcome, IngestReport, ManifestEntry, SnapshotMode};
+pub use catalog::{Catalog, CatalogStats, IngestOutcome, IngestReport, ManifestEntry};
 pub use fsck::{FsckReport, IndexCacheState, Problem, ProblemKind, RepairSummary};
 pub use engine::{table_metas, QueryEngine, QueryMode, TableHit, TableMeta};
 pub use error::{StoreError, StoreResult};

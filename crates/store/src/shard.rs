@@ -64,7 +64,7 @@ pub(crate) const MAX_SHARDS: u64 = 256;
 /// with at least this many tables.
 pub(crate) const AUTO_SHARD_MIN: u64 = 4096;
 
-/// Default capacity of a lazy snapshot's LRU sketch cache.
+/// Capacity of every snapshot's LRU cache of shard-resident sketches.
 pub(crate) const SKETCH_CACHE_CAP: usize = 4096;
 
 const ARENA_HEADER_LEN: u64 = 36;
@@ -417,21 +417,21 @@ impl ArenaIndex {
 
 // ---- the lazy corpus -------------------------------------------------------
 
-/// One shard as seen by a lazy snapshot: the open arena plus the active
+/// One shard as seen by a snapshot: the open arena plus the active
 /// `(id, slot)` pairs at capture time, ascending by id.
 pub(crate) struct LazyShard {
     pub arena: Arc<ArenaIndex>,
     pub entries: Vec<(String, u32)>,
 }
 
-/// The lazy snapshot corpus: sketch payloads stay in their arenas and
+/// Every snapshot's corpus: sketch payloads stay in their arenas and
 /// are loaded by positioned read on first use, with an LRU-bounded cache
 /// in front ([`SKETCH_CACHE_CAP`]). Loose (not-yet-compacted) tables are
 /// held eagerly — they are the recent-churn minority. Holding the arena
 /// `File` handles means a compaction (which writes new generations and
 /// unlinks the old files) never invalidates a live snapshot.
 pub struct LazyCorpus {
-    shard_count: u32,
+    /// Indexed by shard number; the length is the hash-space width.
     shards: Vec<Option<LazyShard>>,
     /// Eager sketches of loose tables, ascending by table id.
     loose: Vec<Arc<TableSketch>>,
@@ -443,7 +443,6 @@ pub struct LazyCorpus {
 
 impl LazyCorpus {
     pub(crate) fn new(
-        shard_count: u32,
         shards: Vec<Option<LazyShard>>,
         loose: Vec<Arc<TableSketch>>,
         cache_cap: usize,
@@ -453,7 +452,6 @@ impl LazyCorpus {
         let len = loose.len()
             + shards.iter().flatten().map(|s| s.entries.len()).sum::<usize>();
         Self {
-            shard_count,
             shards,
             loose,
             cache: Mutex::new(SketchCache::new(cache_cap)),
@@ -485,10 +483,10 @@ impl LazyCorpus {
         if let Ok(i) = self.loose.binary_search_by(|s| s.table_id.as_str().cmp(id)) {
             return Ok(Some(Arc::clone(&self.loose[i])));
         }
-        if self.shard_count == 0 {
+        if self.shards.is_empty() {
             return Ok(None);
         }
-        let Some(shard) = &self.shards[shard_of(id, self.shard_count) as usize] else {
+        let Some(shard) = &self.shards[shard_of(id, self.shards.len() as u32) as usize] else {
             return Ok(None);
         };
         let Ok(i) = shard.entries.binary_search_by(|(eid, _)| eid.as_str().cmp(id)) else {
@@ -548,9 +546,6 @@ impl SketchCache {
     }
 
     fn insert(&mut self, id: &str, sketch: Arc<TableSketch>) {
-        if self.cap == 0 {
-            return;
-        }
         self.stamp += 1;
         if let Some((_, old)) = self.map.insert(id.to_string(), (sketch, self.stamp)) {
             self.order.remove(&old);
@@ -580,6 +575,29 @@ mod tests {
         let mut buf = Vec::new();
         ser::write_record(&mut buf, rec).unwrap();
         buf
+    }
+
+    /// Commit `payloads` as arena `(index, generation)` under `dir`;
+    /// returns its path, the root-manifest metadata to open it with, and
+    /// the bytes written.
+    fn stage_arena(
+        dir: &Path,
+        index: u32,
+        generation: u64,
+        payloads: &[Vec<u8>],
+    ) -> (PathBuf, ShardMeta, Vec<u8>) {
+        let bytes = build_arena(index, generation, payloads);
+        let path = dir.join(arena_file_name(index, generation));
+        durable::commit_file(&path, &bytes).unwrap();
+        let meta = ShardMeta {
+            index,
+            generation,
+            entry_count: payloads.len() as u64,
+            total_rows: 0,
+            total_cols: 0,
+            arena_bytes: bytes.len() as u64,
+        };
+        (path, meta, bytes)
     }
 
     fn tmp(tag: &str) -> PathBuf {
@@ -651,17 +669,7 @@ mod tests {
         let recs: Vec<TableRecord> =
             (0..5).map(|i| record(&format!("t{i}"), &[i, i + 1, i * 3])).collect();
         let payloads: Vec<Vec<u8>> = recs.iter().map(payload).collect();
-        let bytes = build_arena(3, 9, &payloads);
-        let path = dir.join(arena_file_name(3, 9));
-        durable::commit_file(&path, &bytes).unwrap();
-        let meta = ShardMeta {
-            index: 3,
-            generation: 9,
-            entry_count: 5,
-            total_rows: 0,
-            total_cols: 0,
-            arena_bytes: bytes.len() as u64,
-        };
+        let (path, meta, _) = stage_arena(&dir, 3, 9, &payloads);
         let arena = ArenaIndex::open(&path, &meta).unwrap();
         assert_eq!(arena.slots.len(), 5);
         // Read out of order — positioned reads have no cursor.
@@ -679,16 +687,7 @@ mod tests {
         let dir = tmp("arena_corrupt");
         let payloads: Vec<Vec<u8>> =
             (0..3).map(|i| payload(&record(&format!("t{i}"), &[i, 7 - i]))).collect();
-        let bytes = build_arena(0, 1, &payloads);
-        let path = dir.join(arena_file_name(0, 1));
-        let meta = ShardMeta {
-            index: 0,
-            generation: 1,
-            entry_count: 3,
-            total_rows: 0,
-            total_cols: 0,
-            arena_bytes: bytes.len() as u64,
-        };
+        let (path, meta, bytes) = stage_arena(&dir, 0, 1, &payloads);
         let assert_corrupt = |err: StoreError| {
             let StoreError::Corrupt { format, file, offset, .. } = &err else {
                 panic!("want Corrupt, got {err}");
@@ -718,6 +717,40 @@ mod tests {
         assert_corrupt(ArenaIndex::open(&path, &meta).unwrap_err());
         let short = ShardMeta { arena_bytes: meta.arena_bytes - 4, ..meta };
         assert_corrupt(ArenaIndex::open(&path, &short).unwrap_err());
+    }
+
+    #[test]
+    fn lazy_corpus_reloads_evicted_sketches_from_the_arena() {
+        let dir = tmp("lazy_evict");
+        let recs: Vec<TableRecord> =
+            (0..6).map(|i| record(&format!("t{i}"), &[i, 2 * i + 1, 40 - i])).collect();
+        let payloads: Vec<Vec<u8>> = recs.iter().map(payload).collect();
+        let (path, meta, _) = stage_arena(&dir, 0, 1, &payloads);
+        let arena = Arc::new(ArenaIndex::open(&path, &meta).unwrap());
+        let entries = recs.iter().enumerate().map(|(i, r)| (r.table_id().to_string(), i as u32));
+        let shard = LazyShard { arena, entries: entries.collect() };
+        let corpus = LazyCorpus::new(vec![Some(shard)], Vec::new(), 2);
+        assert_eq!(corpus.len(), recs.len());
+
+        let cached = |id: &str| lock_unpoisoned(&corpus.cache).map.contains_key(id);
+        for _ in 0..3 {
+            for (rec, bytes) in recs.iter().zip(&payloads) {
+                let id = rec.table_id();
+                // With capacity 2, cycling through 6 ids evicts each one
+                // before it comes round again: every fetch is a miss that
+                // goes back to the arena.
+                assert!(!cached(id), "{id} should have been evicted");
+                let got = corpus.sketch_of(id).unwrap().expect("known id");
+                // Byte-identical to the record the arena was built from.
+                let back = TableRecord::from_sketch((*got).clone(), rec.content_hash);
+                assert_eq!(&payload(&back), bytes, "{id}");
+                assert!(cached(id));
+                assert!(lock_unpoisoned(&corpus.cache).map.len() <= 2);
+                // An immediate repeat is a cache hit with the same sketch.
+                assert!(Arc::ptr_eq(&got, &corpus.sketch_of(id).unwrap().expect("cached")));
+            }
+        }
+        assert!(corpus.sketch_of("no such table").unwrap().is_none());
     }
 
     #[test]

@@ -64,7 +64,7 @@ fn reopened_catalog_matches_in_memory_pipeline() {
             TableRecord::from_sketch(TableSketch::build(&table, &cfg), 0)
         })
         .collect();
-    let in_memory = QueryEngine::build(&records, cfg.minhash_k, Default::default());
+    let in_memory = QueryEngine::build(&records, cfg.minhash_k, Default::default()).unwrap();
 
     // Reopened catalog: cold open, indexes rebuilt lazily at the first
     // searcher() snapshot.

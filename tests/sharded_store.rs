@@ -1,7 +1,8 @@
 //! Acceptance tests for the sharded catalog (ISSUE 10): compaction folds
 //! loose segments into `TSFMSHD1` shard manifests + `TSFMARN1` sketch
-//! arenas, opens stay O(shards), lazy snapshots answer bit-identically to
-//! eager ones, live snapshots survive a compaction underneath them, and
+//! arenas, opens stay O(shards), snapshots answer bit-identically to a
+//! fresh in-memory engine build, live snapshots survive a compaction
+//! underneath them, and
 //! `tsfm fsck --repair` quarantines a bad shard as a unit while loose
 //! tables keep serving.
 //!
@@ -16,9 +17,10 @@ use std::process::Command;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use tabsketchfm::lake::{gen_pretrain_corpus, World, WorldConfig};
+use tabsketchfm::store::catalog::read_index_cache;
 use tabsketchfm::store::fsck::{fsck, IndexCacheState};
 use tabsketchfm::store::{
-    Catalog, DiscoveryRequest, DiscoveryResponse, QueryMode, SnapshotMode,
+    Catalog, DiscoveryRequest, DiscoveryResponse, QueryEngine, QueryMode, Searcher, TableRecord,
 };
 use tabsketchfm::table::{csv, Table};
 
@@ -101,14 +103,11 @@ fn compaction_folds_loose_tier_into_shards_and_preserves_answers() {
     for t in &tables {
         assert_eq!(cat.record(&t.id).unwrap().sketch.table_id, t.id);
     }
-    // Auto stays eager at this size — 60 tables are cheap to hold — so
-    // the lazy path is requested explicitly.
-    assert!(!cat.searcher().unwrap().is_lazy(), "Auto holds a small corpus eagerly");
-    cat.set_snapshot_mode(SnapshotMode::Lazy);
+    // The snapshot is assembled from the index cache and reads the
+    // shard-resident sketches on demand.
     let snap = cat.searcher().unwrap();
-    assert!(snap.is_lazy());
     let reopened = snap.search_table(&query, &req).unwrap();
-    assert_same_hits(&before, &reopened, "cold lazy reopen");
+    assert_same_hits(&before, &reopened, "cold reopen");
 
     // The two-tier mutation path: update one shard-resident table
     // (shadow), remove another (tombstone), add a fresh one (loose).
@@ -138,9 +137,42 @@ fn compaction_folds_loose_tier_into_shards_and_preserves_answers() {
     assert_eq!(report.index_cache, IndexCacheState::Valid);
 }
 
+/// Every record the catalog holds, plus a fresh in-memory engine built
+/// over them: the reference a snapshot must match bit for bit.
+fn fresh_build(cat: &Catalog) -> (Vec<TableRecord>, QueryEngine) {
+    let records = cat.load_all_records().unwrap();
+    let engine =
+        QueryEngine::build(&records, cat.sketch_config().minhash_k, Default::default()).unwrap();
+    (records, engine)
+}
+
+/// `snap` must answer a fresh (not-in-corpus) query and every corpus
+/// table by id exactly like the in-memory reference, in every mode.
+fn assert_matches_fresh_build(snap: &Searcher, cat: &Catalog, fresh: &Table, ctx: &str) {
+    let (records, engine) = fresh_build(cat);
+    assert_eq!(snap.len(), records.len(), "{ctx}: table count");
+    for mode in QueryMode::ALL {
+        let req = DiscoveryRequest::builder(mode).k(15).build().unwrap();
+        assert_same_hits(
+            &engine.search(&snap.sketch(fresh), &req).unwrap(),
+            &snap.search_table(fresh, &req).unwrap(),
+            &format!("{ctx}: fresh {mode} query"),
+        );
+        // By id, a shard-resident table's sketch comes through a
+        // positioned arena read; a loose one from memory.
+        for rec in &records {
+            assert_same_hits(
+                &engine.search(&rec.sketch, &req).unwrap(),
+                &snap.search_id(rec.table_id(), &req).unwrap(),
+                &format!("{ctx}: by-id {mode} query {}", rec.table_id()),
+            );
+        }
+    }
+}
+
 #[test]
-fn lazy_and_eager_snapshots_answer_bit_identically() {
-    let dir = tmp_dir("lazy_eq_eager");
+fn snapshots_answer_bit_identically_to_a_fresh_build() {
+    let dir = tmp_dir("fresh_build");
     let tables = corpus(80);
     let mut cat = sharded_catalog(&dir, &tables);
     // Leave churn in both tiers so the comparison crosses loose + shard.
@@ -150,41 +182,26 @@ fn lazy_and_eager_snapshots_answer_bit_identically() {
     cat.add_table(&updated, 777).unwrap();
     assert!(cat.remove(&tables[12].id).unwrap());
     cat.commit().unwrap();
-
+    assert!(cat.entry(&tables[11].id).is_some(), "the update is loose");
+    assert_eq!(cat.shard_count(), 1);
     let fresh = csv::table_from_csv("probe", "probe", "city,pop\nWien,1900\nGraz,290\n");
-    let reqs: Vec<DiscoveryRequest> = [QueryMode::Join, QueryMode::Union, QueryMode::Subset]
-        .into_iter()
-        .map(|m| DiscoveryRequest::builder(m).k(15).build().unwrap())
-        .collect();
 
-    cat.set_snapshot_mode(SnapshotMode::Eager);
-    let eager = cat.searcher().unwrap();
-    assert!(!eager.is_lazy());
-    cat.set_snapshot_mode(SnapshotMode::Lazy);
-    let lazy = cat.searcher().unwrap();
-    assert!(lazy.is_lazy());
-    assert_eq!(eager.len(), lazy.len());
+    // The mutation made the index cache stale: this snapshot builds the
+    // engine from every record and rewrites the cache.
+    let built = cat.searcher().unwrap();
+    assert!(built.sketch_of(&tables[12].id).is_err(), "removed table is gone");
+    assert_matches_fresh_build(&built, &cat, &fresh, "rebuilt snapshot");
+    drop(cat);
 
-    for req in &reqs {
-        // A query table that is not in the corpus...
-        assert_same_hits(
-            &eager.search_table(&fresh, req).unwrap(),
-            &lazy.search_table(&fresh, req).unwrap(),
-            "fresh query",
-        );
-        // ... and every corpus table by id, which on the lazy side pulls
-        // the sketch through a positioned arena read.
-        for t in &tables {
-            if t.id == tables[12].id {
-                continue; // removed above
-            }
-            assert_same_hits(
-                &eager.search_id(&t.id, req).unwrap(),
-                &lazy.search_id(&t.id, req).unwrap(),
-                &format!("by-id query {}", t.id),
-            );
-        }
-    }
+    // A cold reopen hits the cache: the engine comes from the cached
+    // graphs and engine meta, without reading shard-resident sketches,
+    // and the cache file is left as it was (a miss would rewrite it).
+    let stamp = || fs::metadata(dir.join("index.cache")).unwrap().modified().unwrap();
+    let written = stamp();
+    let mut cat = Catalog::open(&dir).unwrap();
+    let cached = cat.searcher().unwrap();
+    assert_eq!(stamp(), written, "the reopen must not rebuild the index cache");
+    assert_matches_fresh_build(&cached, &cat, &fresh, "cache-hit snapshot");
 }
 
 #[test]
@@ -192,9 +209,7 @@ fn live_lazy_snapshot_survives_compaction_underneath() {
     let dir = tmp_dir("concurrent");
     let tables = corpus(40);
     let mut cat = sharded_catalog(&dir, &tables);
-    cat.set_snapshot_mode(SnapshotMode::Lazy);
     let snap = cat.searcher().unwrap();
-    assert!(snap.is_lazy());
     let req = DiscoveryRequest::builder(QueryMode::Join).k(8).build().unwrap();
     let baseline: Vec<DiscoveryResponse> =
         tables.iter().map(|t| snap.search_id(&t.id, &req).unwrap()).collect();
@@ -345,9 +360,7 @@ fn monolithic_v2_store_migrates_to_shards_via_tsfm_compact() {
     // Compaction is content-preserving: identical ranking AND the
     // fixture's committed index cache is still valid (same fingerprint).
     let mut cat = Catalog::open(&dir).unwrap();
-    cat.set_snapshot_mode(SnapshotMode::Lazy);
     let snap = cat.searcher().unwrap();
-    assert!(snap.is_lazy());
     assert_same_hits(&before, &snap.search_table(&query, &req).unwrap(), "post-migration");
     drop(cat);
     let report = fsck(&dir, false).unwrap();
@@ -359,4 +372,33 @@ fn monolithic_v2_store_migrates_to_shards_via_tsfm_compact() {
     assert!(out.status.success());
     let report = fsck(&dir, false).unwrap();
     assert!(report.healthy(), "{}", report.to_json());
+}
+
+#[test]
+fn meta_less_index_cache_is_a_miss_rewritten_once() {
+    let dir = copy_v2_fixture("meta_less");
+    let cache = dir.join("index.cache");
+    let (fp, .., meta) = read_index_cache(&cache).unwrap();
+    assert!(meta.is_none(), "the v2 fixture's cache predates the engine-meta section");
+    let text = fs::read_to_string("tests/fixtures/lake/cities.csv").unwrap();
+    let query = csv::table_from_csv("cities", "cities", &text);
+    let req = DiscoveryRequest::builder(QueryMode::Join).k(3).build().unwrap();
+
+    // The first snapshot treats the cache as a miss: it builds from every
+    // record and rewrites the cache, meta included, at the same
+    // fingerprint.
+    let mut cat = Catalog::open(&dir).unwrap();
+    let rebuilt = cat.searcher().unwrap().search_table(&query, &req).unwrap();
+    drop(cat);
+    let (fp2, .., meta) = read_index_cache(&cache).unwrap();
+    assert_eq!(fp2, fp);
+    assert_eq!(meta.map(|m| m.len()), Some(Catalog::open(&dir).unwrap().len()));
+
+    // Every later open hits the rewritten cache and leaves it alone.
+    let stamp = || fs::metadata(&cache).unwrap().modified().unwrap();
+    let written = stamp();
+    let mut cat = Catalog::open(&dir).unwrap();
+    let cached = cat.searcher().unwrap().search_table(&query, &req).unwrap();
+    assert_eq!(stamp(), written, "a cache with meta must not be rebuilt");
+    assert_same_hits(&rebuilt, &cached, "cache hit vs rebuild");
 }
