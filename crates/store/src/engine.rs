@@ -727,10 +727,17 @@ mod tests {
             panic!("wrong-width snapshot must be rejected")
         };
         assert!(err.to_string().contains("snapshot width"), "{err}");
-        // Graphs that do not match the corpus shape (an empty union graph).
-        let (j, _) = graphs();
+    }
+
+    #[test]
+    fn with_graphs_rejects_mismatched_graphs() {
+        // Graphs handed to `from_meta` that do not match the corpus shape
+        // (an empty union graph) are rejected, not assembled.
+        let (recs, cfg) = corpus();
+        let built = QueryEngine::build(&recs, cfg.minhash_k, Default::default()).unwrap();
+        let join = tsfm_search::Hnsw::from_snapshot(built.join_index().snapshot()).unwrap();
         let empty = tsfm_search::Hnsw::new(cfg.minhash_k, Metric::Cosine, Default::default());
-        let Err(err) = QueryEngine::from_meta(table_metas(&recs), cfg.minhash_k, j, empty) else {
+        let Err(err) = QueryEngine::from_meta(table_metas(&recs), cfg.minhash_k, join, empty) else {
             panic!("mismatched graphs must be rejected")
         };
         assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
