@@ -16,9 +16,29 @@
 //! candidate/result heaps via [`SearchScratch`]; [`Hnsw::search`] hands
 //! scratch out from a per-thread pool, so batched fan-outs (e.g.
 //! `tsfm_store`'s `search_batch`) allocate nothing per query after warmup.
+//!
+//! **Gather, then score.** When the beam expands a node it first walks the
+//! neighbour list once, marking and collecting the unvisited ids in list
+//! order. It then scores them four rows at a time with
+//! [`Metric::distance_prenorm4`] (four independent accumulators, each
+//! bit-identical to the one-row kernel), and only then applies the heap
+//! updates, in list order. Inserts and queries share this path.
+//!
+//! **Cached link distances.** Every neighbour list carries, beside each
+//! link, the distance recorded when the link was made — the beam already
+//! computed it, and both metrics are symmetric bit-for-bit (the same
+//! products, summed in the same order). When a list overflows, the trim
+//! sorts the cached `(id, distance)` pairs and truncates, evaluating no
+//! distance. The cache costs 4 bytes per link plus one list header per
+//! node layer. It is not serialized: [`Hnsw::from_snapshot`] leaves it
+//! empty (nothing allocated, nothing evaluated at open), and a later
+//! [`Hnsw::add`] fills a list's missing entries the first time that list
+//! overflows.
+//!
 //! All of this is bit-for-bit behavior-preserving — graphs and query
 //! results are pinned by `tests/determinism.rs`, and the `TSFMHNS1`
-//! serialization (which never stored norms) is unchanged.
+//! serialization (which stores neither norms nor link distances) is
+//! unchanged.
 
 use crate::knn::Metric;
 use std::cell::RefCell;
@@ -113,6 +133,16 @@ impl Default for HnswConfig {
 struct Node {
     /// Neighbour lists per layer, `neighbors[l]` for layer `l`.
     neighbors: Vec<Vec<usize>>,
+    /// `dists[l][i]` is the distance to `neighbors[l][i]`. A prefix cache:
+    /// a layer may be missing or shorter than its list (a node imported
+    /// from a snapshot starts with none), and `Hnsw::link` completes it the
+    /// first time the list overflows.
+    dists: Vec<Vec<f32>>,
+}
+
+/// Order `(id, distance)` pairs by ascending distance, ties by id.
+fn by_distance(a: &(usize, f32), b: &(usize, f32)) -> std::cmp::Ordering {
+    a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
 }
 
 /// A complete, serializable copy of an [`Hnsw`]'s state (`tsfm_store`
@@ -131,10 +161,11 @@ pub struct HnswSnapshot {
     pub rng_state: u64,
 }
 
-/// Reusable per-query search state: the epoch-stamped visited list and
-/// the candidate/result heaps. One `begin` bumps the epoch, which marks
-/// every previous query's stamps stale in O(1) — no clearing, no
-/// rehashing, no allocation once the list has grown to the index size.
+/// Reusable per-query search state: the epoch-stamped visited list, the
+/// candidate/result heaps and the gather buffer. One `begin` bumps the
+/// epoch, which marks every previous query's stamps stale in O(1) — no
+/// clearing, no rehashing, no allocation once the list has grown to the
+/// index size.
 ///
 /// [`Hnsw::search`] takes scratch from a per-thread pool automatically;
 /// callers that manage their own threads can hold a `SearchScratch` and
@@ -147,6 +178,9 @@ pub struct SearchScratch {
     epoch: u32,
     candidates: BinaryHeap<MinItem>,
     results: BinaryHeap<HeapItem>,
+    /// The unvisited neighbours of the node being expanded, in list order,
+    /// with their distances once scored.
+    fresh: Vec<(usize, f32)>,
 }
 
 impl SearchScratch {
@@ -310,23 +344,32 @@ impl Hnsw {
             if cd > worst && scratch.results.len() >= ef {
                 break;
             }
-            let neighbors = &self.nodes[c].neighbors[layer];
-            // Touch the first cache line of every unvisited neighbour's
-            // arena row before the distance loop: the loads overlap
-            // instead of serializing on one miss per distance call. Pure
-            // reads — results are unchanged. (dim 0 has no rows to touch.)
-            if self.dim > 0 {
-                for &n in neighbors {
-                    if scratch.stamps[n] != scratch.epoch {
-                        std::hint::black_box(self.data[n * self.dim]);
-                    }
+            // Gather the unvisited neighbours (marking them visited) ...
+            scratch.fresh.clear();
+            for &n in &self.nodes[c].neighbors[layer] {
+                if scratch.visit(n) {
+                    scratch.fresh.push((n, 0.0));
                 }
             }
-            for &n in neighbors {
-                if !scratch.visit(n) {
-                    continue;
+            // ... score them four rows at a time ...
+            let mut quads = scratch.fresh.chunks_exact_mut(4);
+            for quad in &mut quads {
+                let ids = [quad[0].0, quad[1].0, quad[2].0, quad[3].0];
+                let d = self.metric.distance_prenorm4(
+                    q,
+                    q_norm,
+                    ids.map(|n| self.vector(n)),
+                    ids.map(|n| self.norms[n]),
+                );
+                for (slot, d) in quad.iter_mut().zip(d) {
+                    slot.1 = d;
                 }
-                let d = self.dist(q, q_norm, n);
+            }
+            for slot in quads.into_remainder() {
+                slot.1 = self.dist(q, q_norm, slot.0);
+            }
+            // ... then update the heaps in list order.
+            for &(n, d) in &scratch.fresh {
                 let worst = scratch.results.peek().map_or(f32::INFINITY, |h| h.0);
                 if scratch.results.len() < ef || d < worst {
                     scratch.candidates.push(MinItem(d, n));
@@ -339,7 +382,7 @@ impl Hnsw {
         }
         let mut out: Vec<(usize, f32)> =
             scratch.results.drain().map(|HeapItem(d, i)| (i, d)).collect();
-        out.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0)));
+        out.sort_by(by_distance);
         out
     }
 
@@ -352,7 +395,10 @@ impl Hnsw {
         let level = self.random_level();
         self.data.extend_from_slice(v);
         self.norms.push(self.metric.norm_cache(v));
-        self.nodes.push(Node { neighbors: vec![Vec::new(); level + 1] });
+        self.nodes.push(Node {
+            neighbors: vec![Vec::new(); level + 1],
+            dists: vec![Vec::new(); level + 1],
+        });
 
         let Some(mut cur) = self.entry else {
             self.entry = Some(id);
@@ -360,36 +406,27 @@ impl Hnsw {
             return id;
         };
 
-        let q = v.to_vec();
         let q_norm = self.norms[id];
         // Descend layers above the new node's level greedily.
         for l in ((level + 1)..=self.max_level).rev() {
-            cur = self.greedy(&q, q_norm, cur, l);
+            cur = self.greedy(self.vector(id), q_norm, cur, l);
         }
+        // One trim buffer for every overflow this insert causes.
+        let mut trim = Vec::new();
         // Connect on each layer from min(level, max_level) down to 0.
         for l in (0..=level.min(self.max_level)).rev() {
-            let found = SCRATCH.with(|s| {
-                self.search_layer(&q, q_norm, cur, self.cfg.ef_construction, l, &mut s.borrow_mut())
+            let mut found = SCRATCH.with(|s| {
+                let ef = self.cfg.ef_construction;
+                self.search_layer(self.vector(id), q_norm, cur, ef, l, &mut s.borrow_mut())
             });
             let m_max = if l == 0 { self.cfg.m * 2 } else { self.cfg.m };
-            let chosen: Vec<usize> =
-                found.iter().take(m_max).map(|&(i, _)| i).collect();
-            for &n in &chosen {
-                self.nodes[id].neighbors[l].push(n);
-                self.nodes[n].neighbors[l].push(id);
-                // Trim the neighbour's list if it overflowed.
-                if self.nodes[n].neighbors[l].len() > m_max {
-                    let mut withd: Vec<(usize, f32)> = self.nodes[n].neighbors[l]
-                        .iter()
-                        .map(|&x| (x, self.dist_nodes(n, x)))
-                        .collect();
-                    withd.sort_by(|a, b| {
-                        a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
-                    });
-                    withd.truncate(m_max);
-                    self.nodes[n].neighbors[l] = withd.into_iter().map(|(x, _)| x).collect();
-                }
+            found.truncate(m_max);
+            for &(n, d) in &found {
+                self.link(n, l, id, d, m_max, &mut trim);
             }
+            let node = &mut self.nodes[id];
+            node.neighbors[l] = found.iter().map(|&(n, _)| n).collect();
+            node.dists[l] = found.iter().map(|&(_, d)| d).collect();
             if let Some(&(best, _)) = found.first() {
                 cur = best;
             }
@@ -399,6 +436,50 @@ impl Hnsw {
             self.entry = Some(id);
         }
         id
+    }
+
+    /// Append the link `n → to` (at distance `d`) to `n`'s layer-`l` list,
+    /// trimming the list back to its `m_max` closest if it overflows. The
+    /// trim sorts cached distances: only entries missing from the cache
+    /// (links imported from a snapshot) are evaluated, once.
+    fn link(
+        &mut self,
+        n: usize,
+        l: usize,
+        to: usize,
+        d: f32,
+        m_max: usize,
+        trim: &mut Vec<(usize, f32)>,
+    ) {
+        let list = &self.nodes[n].neighbors[l];
+        if list.len() >= m_max {
+            let cached = self.nodes[n].dists.get(l).map_or(&[][..], Vec::as_slice);
+            trim.clear();
+            trim.extend(list.iter().enumerate().map(|(i, &x)| {
+                (x, cached.get(i).copied().unwrap_or_else(|| self.dist_nodes(n, x)))
+            }));
+            trim.push((to, d));
+            trim.sort_by(by_distance);
+            trim.truncate(m_max);
+        }
+        let node = &mut self.nodes[n];
+        if node.dists.len() <= l {
+            node.dists.resize_with(l + 1, Vec::new);
+        }
+        let (list, cache) = (&mut node.neighbors[l], &mut node.dists[l]);
+        if list.len() < m_max {
+            // Keep the cache a prefix of the list: a lagging one stays
+            // lagging until the list overflows.
+            if cache.len() == list.len() {
+                cache.push(d);
+            }
+            list.push(to);
+        } else {
+            list.clear();
+            cache.clear();
+            list.extend(trim.iter().map(|&(x, _)| x));
+            cache.extend(trim.iter().map(|&(_, dx)| dx));
+        }
     }
 
     pub fn dim(&self) -> usize {
@@ -490,7 +571,11 @@ impl Hnsw {
             metric: s.metric,
             data: s.data,
             norms,
-            nodes: s.neighbors.into_iter().map(|neighbors| Node { neighbors }).collect(),
+            nodes: s
+                .neighbors
+                .into_iter()
+                .map(|neighbors| Node { neighbors, dists: Vec::new() })
+                .collect(),
             entry: s.entry,
             max_level: s.max_level,
             rng_state: s.rng_state,
@@ -543,7 +628,7 @@ mod tests {
     #[test]
     fn dim_zero_degenerate_but_safe() {
         // A zero-dimensional index is useless but must not panic (the
-        // prefetch touch has no arena row to read).
+        // four-row kernel scores empty rows).
         let mut h = Hnsw::new(0, Metric::Euclidean, HnswConfig::default());
         for _ in 0..3 {
             h.add(&[]);
@@ -608,6 +693,47 @@ mod tests {
         }
         let recall = hit as f64 / total as f64;
         assert!(recall > 0.9, "HNSW recall@10 too low: {recall}");
+    }
+
+    /// The link-distance cache is invisible: a graph exported through a
+    /// snapshot halfway (which drops the cache) and then extended — so
+    /// every overflowing imported list is filled lazily — ends identical
+    /// to one built straight through. Duplicated rows and a coarse grid
+    /// make distance ties and layer-0 overflows certain.
+    #[test]
+    fn link_distance_cache_survives_snapshot_import() {
+        use tsfm_table::hash::splitmix64;
+        let n = 2400;
+        let vecs: Vec<Vec<f32>> = (0..n)
+            .map(|i| {
+                // Every third vector repeats an earlier one.
+                let src = if i % 3 == 2 { (splitmix64(i as u64) % i as u64) as usize } else { i };
+                (0..8).map(|j| (splitmix64((src as u64) << 8 | j) % 5) as f32 - 2.0).collect()
+            })
+            .collect();
+        let cfg = HnswConfig::default();
+        let m0 = 2 * cfg.m;
+        let mut straight = Hnsw::new(8, Metric::Cosine, cfg.clone());
+        for v in &vecs {
+            straight.add(v);
+        }
+        let mut resumed = Hnsw::new(8, Metric::Cosine, cfg);
+        for (i, v) in vecs.iter().enumerate() {
+            if i == n / 2 {
+                resumed = Hnsw::from_snapshot(resumed.snapshot()).unwrap();
+                let empty = resumed.nodes.iter().all(|node| node.dists.is_empty());
+                assert!(empty, "import allocates no cache");
+            }
+            resumed.add(v);
+        }
+        let filled = resumed.nodes[..n / 2]
+            .iter()
+            .any(|node| node.dists.first().is_some_and(|d| d.len() == m0));
+        assert!(filled, "some imported layer-0 list must have overflowed and been filled");
+        assert_eq!(straight.snapshot(), resumed.snapshot());
+        for q in vecs.iter().step_by(97) {
+            assert_eq!(straight.search(q, 10), resumed.search(q, 10));
+        }
     }
 
     #[test]

@@ -118,6 +118,54 @@ impl Metric {
         }
     }
 
+    /// [`Metric::distance_prenorm`] from one query to four rows at once.
+    /// Each row keeps its own single accumulator summed in element order,
+    /// so every lane is bit-identical to the one-row kernel; the four
+    /// independent chains are what make it faster (they overlap in the
+    /// pipeline instead of waiting on one add after another). The lanes
+    /// advance together and stop at the shortest slice, so no lane ever
+    /// reads past its row.
+    #[inline]
+    pub fn distance_prenorm4(
+        self,
+        q: &[f32],
+        q_norm_sq: f32,
+        rows: [&[f32]; 4],
+        norms_sq: [f32; 4],
+    ) -> [f32; 4] {
+        debug_assert!(rows.iter().all(|r| r.len() == q.len()));
+        let [r0, r1, r2, r3] = rows;
+        let mut acc = [0.0f32; 4];
+        let lanes = q.iter().zip(r0).zip(r1).zip(r2).zip(r3);
+        match self {
+            Metric::Cosine => {
+                for ((((&x, &a), &b), &c), &d) in lanes {
+                    acc[0] += x * a;
+                    acc[1] += x * b;
+                    acc[2] += x * c;
+                    acc[3] += x * d;
+                }
+                [0, 1, 2, 3].map(|i| {
+                    if q_norm_sq == 0.0 || norms_sq[i] == 0.0 {
+                        1.0
+                    } else {
+                        1.0 - acc[i] / (q_norm_sq.sqrt() * norms_sq[i].sqrt())
+                    }
+                })
+            }
+            Metric::Euclidean => {
+                for ((((&x, &a), &b), &c), &d) in lanes {
+                    let (da, db, dc, dd) = (x - a, x - b, x - c, x - d);
+                    acc[0] += da * da;
+                    acc[1] += db * db;
+                    acc[2] += dc * dc;
+                    acc[3] += dd * dd;
+                }
+                acc
+            }
+        }
+    }
+
     /// The squared-norm cache entry for one vector under this metric:
     /// only cosine consumes it, so Euclidean indexes store zeros.
     #[inline]
@@ -284,6 +332,71 @@ mod tests {
                     Metric::Cosine.distance(&a, &z),
                     reference_distance(Metric::Cosine, &a, &z)
                 );
+            }
+        }
+    }
+
+    /// The four-row kernel must equal the one-row kernel lane by lane, to
+    /// the last bit: the HNSW beam scores with it, and the graphs it
+    /// builds are persisted. Covers every length up to 67 (all unroll
+    /// remainders), zero-norm rows, signed zeros, and inf/NaN entries.
+    ///
+    /// A NaN result only has to be NaN: when two NaNs meet in an add, which
+    /// one comes out depends on the operand order the compiler picks, which
+    /// Rust leaves unspecified (the optimized build does flip the sign bit
+    /// here). No consumer can tell NaNs apart — the heaps and the trim
+    /// order every NaN the same way, and the graph stores no distances.
+    #[test]
+    fn four_row_kernel_bit_identical_to_one_row() {
+        use tsfm_table::hash::splitmix64;
+        const SPECIAL: [f32; 6] = [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 1e-30];
+        for dim in 0usize..=67 {
+            for seed in 0u64..12 {
+                // seed 0..4 plain values; 4..8 sprinkled with signed zeros
+                // and tiny values; 8..12 also with inf and NaN entries.
+                let specials = match seed / 4 {
+                    0 => 0,
+                    1 => 2,
+                    _ => SPECIAL.len(),
+                };
+                let v = |salt: u64| -> Vec<f32> {
+                    (0..dim)
+                        .map(|j| {
+                            let h = splitmix64(seed ^ salt ^ ((j as u64) << 32));
+                            if specials > 0 && h % 7 == 0 {
+                                SPECIAL[(h >> 8) as usize % specials]
+                            } else {
+                                (h % 1000) as f32 / 250.0 - 2.0
+                            }
+                        })
+                        .collect()
+                };
+                let q = v(0x51);
+                let mut rows = [v(0x1), v(0x2), v(0x3), vec![0.0f32; dim]];
+                if seed % 2 == 1 {
+                    // All-negative-zero and query-equal rows.
+                    rows[1] = vec![-0.0f32; dim];
+                    rows[2] = q.clone();
+                }
+                for metric in [Metric::Cosine, Metric::Euclidean] {
+                    let qn = metric.norm_cache(&q);
+                    let norms = [0, 1, 2, 3].map(|i| metric.norm_cache(&rows[i]));
+                    let four = metric.distance_prenorm4(
+                        &q,
+                        qn,
+                        [0, 1, 2, 3].map(|i| rows[i].as_slice()),
+                        norms,
+                    );
+                    for i in 0..4 {
+                        let one = metric.distance_prenorm(&q, qn, &rows[i], norms[i]);
+                        let same = if one.is_nan() {
+                            four[i].is_nan()
+                        } else {
+                            four[i].to_bits() == one.to_bits()
+                        };
+                        assert!(same, "{metric:?} dim={dim} seed={seed} lane={i}: {} vs {one}", four[i]);
+                    }
+                }
             }
         }
     }

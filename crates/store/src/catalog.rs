@@ -67,7 +67,7 @@
 //! exactly one table.
 
 use crate::durable;
-use crate::engine::{table_metas, QueryEngine, TableMeta};
+use crate::engine::{sketch_width_error, table_metas, QueryEngine, TableMeta};
 use crate::error::{StoreError, StoreResult};
 use crate::record::TableRecord;
 use crate::searcher::Searcher;
@@ -603,7 +603,12 @@ impl Catalog {
     }
 
     /// Store a pre-built record (the path for records carrying embeddings).
+    /// A record sketched at another signature width than the catalog's is
+    /// refused: it could never be indexed beside the others.
     pub fn add_record(&mut self, rec: &TableRecord) -> StoreResult<IngestOutcome> {
+        if let Some(detail) = sketch_width_error(&rec.sketch, self.sketch_cfg.minhash_k) {
+            return Err(StoreError::invalid(detail));
+        }
         let id = rec.table_id().to_string();
         let prior = self.active_content_hash(&id)?;
         if prior == Some(rec.content_hash) {
@@ -1756,6 +1761,51 @@ mod tests {
             panic!("must refuse a mismatched sketch config")
         };
         assert!(matches!(err, StoreError::InvalidRequest(_)), "{err}");
+    }
+
+    #[test]
+    fn add_record_refuses_another_signature_width() {
+        let dir = tmp_dir("width");
+        let mut cat = Catalog::open(&dir).unwrap();
+        cat.add_table(&table("ok", &[1, 2, 3]), 1).unwrap();
+        let wide = SketchConfig { minhash_k: 64, ..SketchConfig::default() };
+        let rec = TableRecord::from_sketch(TableSketch::build(&table("wide", &[4, 5]), &wide), 2);
+        let Err(err) = cat.add_record(&rec) else { panic!("a 64-wide record must be refused") };
+        assert!(matches!(err, StoreError::InvalidRequest(_)), "{err}");
+        // Nothing was written, so the catalog still indexes and answers.
+        cat.commit().unwrap();
+        assert_eq!(cat.len(), 1);
+        let snap = cat.searcher().unwrap();
+        assert!(snap.search_id("ok", &join_req(1)).is_ok());
+    }
+
+    #[test]
+    fn foreign_width_segment_is_corrupt_at_index_build() {
+        // The same table at the same content hash has the same segment
+        // name in a k=32 and a k=64 catalog; swapping the files plants a
+        // CRC-valid record of the wrong width.
+        let dir = tmp_dir("foreign");
+        let other = tmp_dir("foreign64");
+        let t = table("t", &[1, 2, 3]);
+        let mut cat = Catalog::open(&dir).unwrap();
+        cat.add_table(&t, 9).unwrap();
+        cat.add_table(&table("u", &[4, 5]), 10).unwrap();
+        cat.commit().unwrap();
+        drop(cat);
+        let wide = SketchConfig { minhash_k: 64, ..SketchConfig::default() };
+        let mut cat64 = Catalog::open_with(&other, wide).unwrap();
+        cat64.add_table(&t, 9).unwrap();
+        cat64.commit().unwrap();
+        let seg = segment_name("t", 9);
+        fs::copy(other.join(SEGMENT_DIR).join(&seg), dir.join(SEGMENT_DIR).join(&seg)).unwrap();
+        let mut cat = Catalog::open(&dir).unwrap();
+        for _ in 0..2 {
+            let Err(err) = cat.searcher() else { panic!("a 64-wide segment must not be indexed") };
+            assert!(
+                matches!(&err, StoreError::Corrupt { format, .. } if format == "TSFMSEG1"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -200,6 +200,31 @@ fn union_features(c: &ColumnSketch, out: &mut Vec<f32>) {
     out.extend(c.numeric.to_f32_features());
 }
 
+/// Why `c` cannot be indexed or queried at signature width `k`: its cell
+/// or word MinHash has another width, so its features would not match the
+/// graphs' dimensions.
+fn column_width_error(c: &ColumnSketch, k: usize) -> Option<String> {
+    let word = c.word_minhash.as_ref().map(MinHash::k);
+    let (kind, width) = match (c.cell_minhash.k(), word) {
+        (w, _) if w != k => ("cell", w),
+        (_, Some(w)) if w != k => ("word", w),
+        _ => return None,
+    };
+    Some(format!("column {:?} has {kind} MinHash width {width}, not the corpus width {k}", c.name))
+}
+
+/// Why `sketch` cannot be indexed at signature width `k`: its content
+/// snapshot or any column's MinHash has another width. The catalog
+/// refuses such a record on write, and [`QueryEngine::build`] on read.
+pub(crate) fn sketch_width_error(sketch: &TableSketch, k: usize) -> Option<String> {
+    let detail = if sketch.content_snapshot.k() != k {
+        format!("content snapshot width {} is not the corpus width {k}", sketch.content_snapshot.k())
+    } else {
+        sketch.columns.iter().find_map(|c| column_width_error(c, k))?
+    };
+    Some(format!("table {:?}: {detail}", sketch.table_id))
+}
+
 /// LSH banding for a `k`-wide snapshot signature: 2-row bands when `k` is
 /// even (collision probability `1−(1−J²)^(k/2)`), else 1-row bands.
 fn content_banding(k: usize) -> (usize, usize) {
@@ -228,6 +253,12 @@ impl QueryEngine {
             Hnsw::new(2 * minhash_k + tsfm_sketch::numeric::NUMERIC_SKETCH_DIM, Metric::Cosine, hnsw_cfg);
         let mut buf = Vec::new();
         for &ri in &order {
+            // A record of another width would fail the graphs' dimension
+            // assertion; records reach here from disk, so that is a
+            // corrupt (e.g. foreign but CRC-valid) segment.
+            if let Some(detail) = sketch_width_error(&records[ri].sketch, minhash_k) {
+                return Err(StoreError::corrupt("TSFMSEG1", detail));
+            }
             for c in &records[ri].sketch.columns {
                 join_features(c, &mut buf);
                 join_index.add(&buf);
@@ -450,6 +481,9 @@ impl QueryEngine {
         prof: &mut Profiler,
     ) -> StoreResult<(Vec<TableHit>, Option<Vec<HitExplanation>>)> {
         let query_cols = self.select_columns(sketch, req)?;
+        if let Some(detail) = query_cols.iter().find_map(|c| column_width_error(c, self.minhash_k)) {
+            return Err(StoreError::invalid(format!("query table {:?}: {detail}", sketch.table_id)));
+        }
         // One feature buffer per request, reused across the query's
         // columns; the HNSW search itself draws visited-list and heap
         // scratch from its per-thread pool, so a batch fan-out worker
@@ -741,6 +775,53 @@ mod tests {
             panic!("mismatched graphs must be rejected")
         };
         assert!(matches!(err, StoreError::Corrupt { .. }), "{err}");
+    }
+
+    /// `t`'s sketch at the default config, except that its first column's
+    /// cell MinHash (or, with `word`, its word MinHash) is taken from a
+    /// `minhash_k: 64` sketch.
+    fn widened(t: &Table, word: bool) -> TableSketch {
+        let mut s = TableSketch::build(t, &SketchConfig::default());
+        let wide = TableSketch::build(t, &SketchConfig { minhash_k: 64, ..SketchConfig::default() });
+        if word {
+            s.columns[0].word_minhash = wide.columns[0].word_minhash.clone();
+        } else {
+            s.columns[0].cell_minhash = wide.columns[0].cell_minhash.clone();
+        }
+        s
+    }
+
+    #[test]
+    fn build_rejects_a_record_of_another_width_as_corrupt() {
+        let (mut recs, cfg) = corpus();
+        let t = table("wide", "w", &["p", "q", "r"]);
+        recs.push(TableRecord::from_sketch(widened(&t, false), 0));
+        let Err(err) = QueryEngine::build(&recs, cfg.minhash_k, Default::default()) else {
+            panic!("a 64-wide column must not be inserted into 32-wide graphs")
+        };
+        assert!(
+            matches!(&err, StoreError::Corrupt { format, .. } if format == "TSFMSEG1"),
+            "{err}"
+        );
+        assert!(err.to_string().contains("\"wide\""), "{err}");
+    }
+
+    #[test]
+    fn search_rejects_query_columns_of_another_width() {
+        let (recs, cfg) = corpus();
+        let engine = QueryEngine::build(&recs, cfg.minhash_k, Default::default()).unwrap();
+        let t = table("q", "c", &["one two", "three four"]);
+        for word in [false, true] {
+            let q = widened(&t, word);
+            for mode in [QueryMode::Join, QueryMode::Union] {
+                let Err(err) = engine.search(&q, &req(mode, 2)) else {
+                    panic!("{mode}: a 64-wide query column must be refused (word={word})")
+                };
+                assert!(matches!(err, StoreError::InvalidRequest(_)), "{mode}: {err}");
+            }
+            // Subset reads only the table-level snapshot, which is 32 wide.
+            assert!(engine.search(&q, &req(QueryMode::Subset, 2)).is_ok());
+        }
     }
 
     #[test]
